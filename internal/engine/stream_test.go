@@ -2,35 +2,17 @@ package engine
 
 import (
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
-	"github.com/memgaze/memgaze-go/internal/analysis"
 	"github.com/memgaze/memgaze-go/internal/trace"
 )
 
-// wholeTraceDiag is the reference: one sequential accumulation over the
-// trace in sample order, exactly as a batch analysis walks it.
-func wholeTraceDiag(tr *trace.Trace, block uint64, rho float64) *analysis.Diag {
-	acc := analysis.NewDiagAccum("trace", block)
-	for _, s := range tr.AllSamples() {
-		acc.StartSample()
-		for i := range s.Records {
-			acc.Add(&s.Records[i])
-		}
-	}
-	return acc.Finish(rho)
-}
-
-// TestStreamAccumExact pins the tentpole contract of the incremental
-// path: windows folded out of order — any permutation, any concurrency
-// — produce a Diag identical to the sequential whole-trace pass, and
-// the κ/ρ inputs match the built trace's own.
+// TestStreamAccumExact pins the sink contract: windows counted out of
+// order — any permutation, any concurrency — sum to the built trace's
+// record count.
 func TestStreamAccumExact(t *testing.T) {
 	tr := testTrace(12, 80)
-	rho := tr.Rho()
-	want := wholeTraceDiag(tr, 64, rho)
 
 	// Interleave nil windows (decoded-to-nothing captures) with real
 	// ones, as BuildCaptureStream's sink sees them.
@@ -52,7 +34,7 @@ func TestStreamAccumExact(t *testing.T) {
 				sa.AddSample(idx, windows[idx])
 			}
 		} else {
-			// Concurrent arrival, racing on the fold lock.
+			// Concurrent arrival.
 			var wg sync.WaitGroup
 			for _, idx := range order {
 				wg.Add(1)
@@ -63,51 +45,8 @@ func TestStreamAccumExact(t *testing.T) {
 			}
 			wg.Wait()
 		}
-
 		if got := sa.Records(); got != tr.NumRecords() {
 			t.Fatalf("trial %d: Records = %d, want %d", trial, got, tr.NumRecords())
 		}
-		if got := sa.Samples(); got != tr.NumSamples() {
-			t.Fatalf("trial %d: Samples = %d, want %d", trial, got, tr.NumSamples())
-		}
-		if got, want := sa.Kappa(), tr.Kappa(); got != want {
-			t.Fatalf("trial %d: Kappa = %v, want %v", trial, got, want)
-		}
-		if got, want := sa.Rho(tr.TotalLoads, tr.Period), rho; got != want {
-			t.Fatalf("trial %d: Rho = %v, want %v", trial, got, want)
-		}
-		got := sa.Finish(rho)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: streamed Diag diverges:\ngot  %+v\nwant %+v", trial, *got, *want)
-		}
-	}
-}
-
-// TestStreamAccumEmpty pins the zero-window edge: κ and ρ default to 1
-// and Finish returns a well-formed empty Diag.
-func TestStreamAccumEmpty(t *testing.T) {
-	sa := NewStreamAccum(0)
-	if k := sa.Kappa(); k != 1 {
-		t.Errorf("empty Kappa = %v, want 1", k)
-	}
-	if r := sa.Rho(0, 0); r != 1 {
-		t.Errorf("empty Rho = %v, want 1", r)
-	}
-	if d := sa.Finish(1); d == nil || d.A != 0 {
-		t.Errorf("empty Finish = %+v", d)
-	}
-}
-
-// TestStreamAccumFallbackRho pins the no-counter estimate: with no
-// hardware load count, executed loads fall back to samples × period.
-func TestStreamAccumFallbackRho(t *testing.T) {
-	tr := testTrace(6, 40)
-	tr.TotalLoads = 0
-	sa := NewStreamAccum(64)
-	for i, s := range tr.AllSamples() {
-		sa.AddSample(i, s)
-	}
-	if got, want := sa.Rho(0, tr.Period), tr.Rho(); got != want {
-		t.Errorf("fallback Rho = %v, want %v", got, want)
 	}
 }

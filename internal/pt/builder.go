@@ -2,10 +2,12 @@ package pt
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"sync"
 
-	"github.com/memgaze/memgaze-go/internal/engine"
 	"github.com/memgaze/memgaze-go/internal/instrument"
 	"github.com/memgaze/memgaze-go/internal/trace"
 )
@@ -62,7 +64,7 @@ type BuildOptions struct {
 	// nil when the window decoded to no records — keyed by its position
 	// in the capture. Windows are emitted as soon as they decode: calls
 	// may arrive on any worker goroutine, concurrently and out of
-	// order. engine.StreamAccum is a ready-made sink.
+	// order.
 	SampleSink func(idx int, s *trace.Sample)
 }
 
@@ -138,47 +140,194 @@ func (b *Builder) Build(ctx context.Context) (*trace.Trace, DecodeStats, error) 
 }
 
 func (b *Builder) buildSampled(ctx context.Context) (*trace.Trace, DecodeStats, error) {
-	samples := b.col.Samples()
+	cp, err := b.col.Capture(b.ann)
+	if err != nil {
+		return nil, DecodeStats{}, err
+	}
+	i := 0
+	// The collector owns these buffers: they are never marked pooled, so
+	// the core's free list cannot hand them to another sample.
+	next := func([]byte) (window, error) {
+		if i == len(cp.Samples) {
+			return window{}, io.EOF
+		}
+		i++
+		return window{RawSample: cp.Samples[i-1]}, nil
+	}
+	return build(ctx, cp, len(cp.Samples), next, b.opts)
+}
+
+// window is one capture sample on its way through the build core: raw
+// bytes for a worker to decode or, when the source already decoded the
+// sample inline, the decoded events and their byte accounting.
+type window struct {
+	RawSample
+	pooled  bool // the build owns Raw, so it may join the free list
+	decoded bool // events and st are final; Raw is unused
+	events  []Event
+	st      SpanStats
+}
+
+// sampleSource yields a capture's samples in order and io.EOF after the
+// last. buf is a spare raw buffer from the core's free list (nil when
+// none is free) that the source may fill instead of allocating. A source
+// marks a window pooled only when Raw is buf or a buffer it allocated,
+// never memory a caller still owns.
+type sampleSource func(buf []byte) (window, error)
+
+// build is the one sampled-trace build core behind Builder.Build and
+// BuildCaptureStream. It dispatches next's samples to a bounded worker
+// pool, applies the fault policy, feeds the sample sink and progress
+// callback, and reassembles the samples in capture order, so the trace
+// is identical for any worker count and any sample source. cp supplies
+// the trace header, counters, and annotations; its Samples are not
+// read. total is the sample count the capture promises: Progress
+// reports it, and it caps the worker count and the slot preallocation.
+//
+// At most workers+2 raw buffers are in flight, and buffers the source
+// marks pooled are recycled across samples. ctx cancellation is honoured
+// between samples; the first worker error (a *CorruptionError under
+// FaultFail) cancels the rest, and a source error aborts the build and is
+// returned as-is.
+func build(ctx context.Context, cp *Capture, total int, next sampleSource, o BuildOptions) (*trace.Trace, DecodeStats, error) {
+	workers := o.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, max(total, 1))
 	type slot struct {
 		sample *trace.Sample
 		ds     DecodeStats
 	}
-	slots := make([]slot, len(samples))
-	var mu sync.Mutex
-	done := 0
-	tasks := make([]func(context.Context) error, len(samples))
-	for i := range samples {
-		tasks[i] = func(context.Context) error {
-			rs := samples[i]
-			events, st := DecodeWindow(rs.Raw)
-			sample, ds, err := sampleFromWindow(rs.Seq, rs.TriggerLoads, events, st, b.ann, b.opts.Policy)
-			if err != nil {
-				return err
-			}
-			if b.opts.SampleSink != nil {
-				b.opts.SampleSink(i, sample)
-			}
-			slots[i].sample = sample
-			slots[i].ds = ds
-			if b.opts.Progress != nil {
-				mu.Lock()
-				done++
-				b.opts.Progress(done, len(samples))
-				mu.Unlock()
-			}
-			return nil
+	var (
+		mu       sync.Mutex
+		slots    = make([]slot, 0, min(total, 4096)) // total is untrusted on the wire
+		firstErr error
+		done     int
+	)
+	// ctx2 also stops the producer when a worker fails.
+	ctx2, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	// finish turns one decoded window into its slot.
+	finish := func(idx int, w *window) error {
+		s, ds, err := sampleFromWindow(w.Seq, w.TriggerLoads, w.events, w.st, cp.Ann, o.Policy)
+		if err != nil {
+			return err
 		}
-	}
-	if err := engine.RunPool(ctx, b.opts.Workers, tasks); err != nil {
-		return nil, DecodeStats{}, err
+		if o.SampleSink != nil {
+			o.SampleSink(idx, s)
+		}
+		mu.Lock()
+		for len(slots) <= idx {
+			slots = append(slots, slot{})
+		}
+		slots[idx] = slot{sample: s, ds: ds}
+		done++
+		if o.Progress != nil {
+			o.Progress(done, total)
+		}
+		mu.Unlock()
+		return nil
 	}
 
-	// Reassemble in sample order: identical output for any worker count.
+	type item struct {
+		idx int
+		w   window
+	}
+	in := make(chan item)
+	// Pooled raw buffers cycle through a free list once a worker is done
+	// with them: a long ingest allocates O(workers) sample buffers, not
+	// one per sample. The list holds every buffer that can be in flight:
+	// one per worker, one being read, and one waiting on dispatch.
+	free := make(chan []byte, workers+2)
+	recycle := func(raw []byte) {
+		select {
+		case free <- raw:
+		default:
+		}
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := range in {
+				if ctx2.Err() != nil {
+					continue // drain; the producer is shutting down
+				}
+				it.w.events, it.w.st = DecodeWindow(it.w.Raw)
+				if it.w.pooled {
+					recycle(it.w.Raw)
+				}
+				if err := finish(it.idx, &it.w); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+						cancel()
+					}
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+
+	var prodErr error
+producer:
+	for idx := 0; ; idx++ {
+		if prodErr = ctx2.Err(); prodErr != nil {
+			break
+		}
+		var buf []byte
+		select {
+		case buf = <-free:
+		default:
+		}
+		w, err := next(buf)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			prodErr = err
+			break
+		}
+		if buf != nil && !w.pooled {
+			recycle(buf) // the source did not need it
+		}
+		if w.decoded {
+			if prodErr = finish(idx, &w); prodErr != nil {
+				break
+			}
+			continue
+		}
+		select {
+		case in <- item{idx: idx, w: w}:
+		case <-ctx2.Done():
+			prodErr = ctx2.Err()
+			break producer
+		}
+	}
+	close(in)
+	wg.Wait()
+
+	switch {
+	case firstErr != nil:
+		return nil, DecodeStats{}, firstErr
+	case ctx.Err() != nil:
+		return nil, DecodeStats{}, ctx.Err()
+	case prodErr != nil:
+		return nil, DecodeStats{}, prodErr
+	}
+
+	// Reassemble in capture order: identical output for any worker count.
 	t := &trace.Trace{
-		Module:   b.ann.Module,
-		Mode:     b.col.cfg.Mode.String(),
-		Period:   b.col.cfg.Period,
-		BufBytes: b.col.cfg.BufBytes,
+		Module:         cp.Ann.Module,
+		Mode:           cp.Mode.String(),
+		Period:         cp.Period,
+		BufBytes:       cp.BufBytes,
+		TotalLoads:     cp.TotalLoads,
+		Bytes:          cp.BytesRecorded,
+		RecordedEvents: cp.EventsRec,
 	}
 	var ds DecodeStats
 	nrec := 0
@@ -195,15 +344,36 @@ func (b *Builder) buildSampled(ctx context.Context) (*trace.Trace, DecodeStats, 
 			t.AppendSample(slots[i].sample)
 		}
 	}
-	t.TotalLoads = b.col.Loads()
-	t.Bytes = b.col.BytesRecorded()
-	t.RecordedEvents = b.col.EventsRecorded()
 	t.LostBytes = uint64(ds.SkippedBytes)
 	ds.Records = t.NumRecords()
-	if b.opts.StatsSink != nil {
-		b.opts.StatsSink(ds)
+	if o.StatsSink != nil {
+		o.StatsSink(ds)
 	}
 	return t, ds, nil
+}
+
+// sampleFromWindow converts one decoded window into its trace sample
+// (nil when no records survive) and per-sample stats, applying the
+// fault policy.
+func sampleFromWindow(seq int, trig uint64, events []Event, st SpanStats, ann *instrument.Annotations, policy FaultPolicy) (*trace.Sample, DecodeStats, error) {
+	ds := DecodeStats{
+		Events:       len(events),
+		SkippedBytes: st.LostBytes,
+		PacketBytes:  st.PacketBytes,
+		SyncBytes:    st.SyncBytes,
+		Resyncs:      st.Resyncs,
+	}
+	if st.Resyncs > 0 {
+		ds.CorruptSamples = 1
+		if policy == FaultFail {
+			return nil, ds, &CorruptionError{Seq: seq, Resyncs: st.Resyncs, LostBytes: st.LostBytes}
+		}
+	}
+	recs := eventsToRecords(events, ann, &ds)
+	if len(recs) == 0 {
+		return nil, ds, nil
+	}
+	return &trace.Sample{Seq: seq, TriggerLoads: trig, Records: recs}, ds, nil
 }
 
 func (b *Builder) buildFull(ctx context.Context) (*trace.Trace, DecodeStats, error) {

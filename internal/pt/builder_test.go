@@ -39,47 +39,30 @@ func dumpTrace(tr *trace.Trace) string {
 	return b.String()
 }
 
-// TestDeprecatedBuildWrappersMatchBuilder pins BuildSampledTrace and
-// BuildFullTrace to the Builder: the wrappers route through it, so their
-// output must be byte-identical to an explicit NewBuilder run at every
-// worker count (the reassembly step makes ordering deterministic).
-func TestDeprecatedBuildWrappersMatchBuilder(t *testing.T) {
+// TestBuilderWorkerCountInvariance pins the reassembly step: the built
+// trace and its stats are identical at every worker count.
+func TestBuilderWorkerCountInvariance(t *testing.T) {
 	notes := handNotes()
-
 	col := driveSampled(100, 4<<10, 5000)
-	wantTr, wantDS := BuildSampledTrace(col, notes)
+	wantTr, wantDS, err := NewBuilder(col, notes, WithWorkers(1)).Build(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if wantTr.NumSamples() < 5 {
 		t.Fatalf("samples = %d, want enough to exercise the pool", wantTr.NumSamples())
 	}
-	for _, workers := range []int{0, 1, 3, 8, 64} {
+	for _, workers := range []int{0, 3, 8, 64} {
 		tr, ds, err := NewBuilder(col, notes, WithWorkers(workers)).Build(context.Background())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got, want := dumpTrace(tr), dumpTrace(wantTr); got != want {
-			t.Errorf("workers=%d: trace diverges from wrapper\n got: %.200s\nwant: %.200s",
+			t.Errorf("workers=%d: trace diverges from the sequential build\n got: %.200s\nwant: %.200s",
 				workers, got, want)
 		}
 		if ds != wantDS {
-			t.Errorf("workers=%d: stats %+v, wrapper has %+v", workers, ds, wantDS)
+			t.Errorf("workers=%d: stats %+v, sequential build has %+v", workers, ds, wantDS)
 		}
-	}
-
-	full := NewCollector(Config{Mode: ModeFull, CopyBytesPerCycle: 1e9})
-	for i := 0; i < 500; i++ {
-		full.PTWrite(0x200, uint64(0x5000+i*8), uint64(i)*5)
-		full.OnLoad(uint64(i) * 5)
-	}
-	wantTr, wantDS = BuildFullTrace(full, notes)
-	tr, ds, err := NewBuilder(full, notes).Build(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := dumpTrace(tr), dumpTrace(wantTr); got != want {
-		t.Errorf("full mode: trace diverges from wrapper\n got: %.200s\nwant: %.200s", got, want)
-	}
-	if ds != wantDS {
-		t.Errorf("full mode: stats %+v, wrapper has %+v", ds, wantDS)
 	}
 }
 

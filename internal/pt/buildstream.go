@@ -2,12 +2,8 @@ package pt
 
 import (
 	"context"
-	"errors"
 	"io"
-	"runtime"
-	"sync"
 
-	"github.com/memgaze/memgaze-go/internal/instrument"
 	"github.com/memgaze/memgaze-go/internal/trace"
 )
 
@@ -18,41 +14,17 @@ import (
 // the pipeline's peak raw-byte footprint.
 const streamInlineChunks = 4
 
-// sampleFromWindow converts one decoded window into its trace sample
-// (nil when no records survive) and per-sample stats, applying the
-// fault policy. Both the buffered and the streamed build paths funnel
-// through it, so their outputs are identical by construction.
-func sampleFromWindow(seq int, trig uint64, events []Event, st SpanStats, ann *instrument.Annotations, policy FaultPolicy) (*trace.Sample, DecodeStats, error) {
-	ds := DecodeStats{
-		Events:       len(events),
-		SkippedBytes: st.LostBytes,
-		PacketBytes:  st.PacketBytes,
-		SyncBytes:    st.SyncBytes,
-		Resyncs:      st.Resyncs,
-	}
-	if st.Resyncs > 0 {
-		ds.CorruptSamples = 1
-		if policy == FaultFail {
-			return nil, ds, &CorruptionError{Seq: seq, Resyncs: st.Resyncs, LostBytes: st.LostBytes}
-		}
-	}
-	recs := eventsToRecords(events, ann, &ds)
-	if len(recs) == 0 {
-		return nil, ds, nil
-	}
-	return &trace.Sample{Seq: seq, TriggerLoads: trig, Records: recs}, ds, nil
-}
-
 // BuildCaptureStream reads a serialised capture (Capture.Write) from r
 // and builds its trace with decode pipelined against the read: samples
 // are dispatched to the worker pool as they arrive off the wire, and
 // samples of at least streamInlineChunks chunks decode incrementally
-// through a StreamDecoder without ever being buffered whole. The
-// result — trace, stats, and error behaviour — is identical to
-// ReadCapture followed by Capture.NewBuilder(...).Build, but peak raw
-// memory is O(ChunkBytes × Workers) instead of O(capture): the capture
-// body is never resident, each dispatched sample is bounded by the
-// inline threshold, and at most Workers+2 samples are in flight.
+// through a StreamDecoder without ever being buffered whole. It runs the
+// same build core as Builder.Build, so the result — trace, stats, and
+// error behaviour — is identical to ReadCapture followed by
+// Capture.NewBuilder(...).Build, but peak raw memory is
+// O(ChunkBytes × Workers) instead of O(capture): the capture body is
+// never resident, each dispatched sample is bounded by the inline
+// threshold, and at most Workers+2 samples are in flight.
 //
 // ctx cancellation is honoured between chunks and samples; a read
 // error from r (a dropped connection, a quota breach injected by the
@@ -63,191 +35,30 @@ func BuildCaptureStream(ctx context.Context, r io.Reader, opts ...BuildOption) (
 	for _, opt := range opts {
 		opt(&o)
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	chunk := o.ChunkBytes
 	if chunk <= 0 {
 		chunk = DefaultStreamChunk
 	}
-
 	cr, err := NewCaptureReader(r)
 	if err != nil {
 		return nil, DecodeStats{}, err
 	}
-	cp := cr.Head()
-	ann := cp.Ann
-	total := cr.Samples()
-
-	type slot struct {
-		sample *trace.Sample
-		ds     DecodeStats
-	}
-	var (
-		mu       sync.Mutex
-		slots    = make([]slot, 0, min(total, 4096))
-		firstErr error
-		done     int
-	)
-	// ctx2 also aborts the producer when a worker fails under FaultFail.
-	ctx2, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	setSlot := func(idx int, s *trace.Sample, ds DecodeStats) {
-		mu.Lock()
-		for len(slots) <= idx {
-			slots = append(slots, slot{})
-		}
-		slots[idx] = slot{sample: s, ds: ds}
-		done++
-		if o.Progress != nil {
-			o.Progress(done, total)
-		}
-		mu.Unlock()
-	}
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		mu.Unlock()
-	}
-
-	type item struct {
-		idx int
-		rs  RawSample
-	}
-	in := make(chan item)
-	// Raw buffers cycle through a free list once a worker is done with
-	// them: steady-state ingest allocates O(workers) sample buffers
-	// total, not one per sample, so the garbage produced by a long
-	// stream stays independent of the capture size.
-	free := make(chan []byte, workers+2)
-	recycle := func(raw []byte) {
-		select {
-		case free <- raw:
-		default:
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for it := range in {
-				if ctx2.Err() != nil {
-					continue // drain; the producer is shutting down
-				}
-				events, st := DecodeWindow(it.rs.Raw)
-				recycle(it.rs.Raw)
-				s, ds, err := sampleFromWindow(it.rs.Seq, it.rs.TriggerLoads, events, st, ann, o.Policy)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				if o.SampleSink != nil {
-					o.SampleSink(it.idx, s)
-				}
-				setSlot(it.idx, s, ds)
-			}
-		}()
-	}
-
-	var prodErr error
 	inlineMin := chunk * streamInlineChunks
-producer:
-	for idx := 0; ; idx++ {
-		if err := ctx2.Err(); err != nil {
-			prodErr = err
-			break
-		}
+	next := func(buf []byte) (window, error) {
 		h, err := cr.NextHeader()
-		if errors.Is(err, io.EOF) {
-			break
-		}
 		if err != nil {
-			prodErr = err
-			break
+			return window{}, err
 		}
+		w := window{RawSample: RawSample{Seq: h.Seq, TriggerLoads: h.TriggerLoads}}
 		if h.RawLen >= inlineMin {
 			// Too big to buffer: decode incrementally off the wire.
-			events, st, err := DecodeStream(cr.RawReader(), chunk)
-			if err != nil {
-				prodErr = err
-				break
-			}
-			s, ds, err := sampleFromWindow(h.Seq, h.TriggerLoads, events, st, ann, o.Policy)
-			if err != nil {
-				prodErr = err
-				break
-			}
-			if o.SampleSink != nil {
-				o.SampleSink(idx, s)
-			}
-			setSlot(idx, s, ds)
-			continue
+			w.events, w.st, err = DecodeStream(cr.RawReader(), chunk)
+			w.decoded = true
+			return w, err
 		}
-		var buf []byte
-		select {
-		case buf = <-free:
-		default:
-		}
-		raw, err := cr.ReadRawInto(buf)
-		if err != nil {
-			prodErr = err
-			break
-		}
-		select {
-		case in <- item{idx: idx, rs: RawSample{Seq: h.Seq, TriggerLoads: h.TriggerLoads, Raw: raw}}:
-		case <-ctx2.Done():
-			prodErr = ctx2.Err()
-			break producer
-		}
+		w.Raw, err = cr.ReadRawInto(buf)
+		w.pooled = true
+		return w, err
 	}
-	close(in)
-	wg.Wait()
-
-	switch {
-	case firstErr != nil:
-		return nil, DecodeStats{}, firstErr
-	case ctx.Err() != nil:
-		return nil, DecodeStats{}, ctx.Err()
-	case prodErr != nil:
-		return nil, DecodeStats{}, prodErr
-	}
-
-	// Reassemble in capture order: identical output for any worker
-	// count, and identical to the buffered Build over the same capture.
-	t := &trace.Trace{
-		Module:   ann.Module,
-		Mode:     cp.Mode.String(),
-		Period:   cp.Period,
-		BufBytes: cp.BufBytes,
-	}
-	var ds DecodeStats
-	nrec := 0
-	for i := range slots {
-		if slots[i].sample != nil {
-			nrec += len(slots[i].sample.Records)
-		}
-	}
-	t.Reserve(len(slots), nrec)
-	for i := range slots {
-		ds.Add(slots[i].ds)
-		if slots[i].sample != nil {
-			// Emit straight into the trace's columns, in sample order.
-			t.AppendSample(slots[i].sample)
-		}
-	}
-	t.TotalLoads = cp.TotalLoads
-	t.Bytes = cp.BytesRecorded
-	t.RecordedEvents = cp.EventsRec
-	t.LostBytes = uint64(ds.SkippedBytes)
-	ds.Records = t.NumRecords()
-	if o.StatsSink != nil {
-		o.StatsSink(ds)
-	}
-	return t, ds, nil
+	return build(ctx, cr.Head(), cr.Samples(), next, o)
 }

@@ -126,98 +126,16 @@ func Decode(raw []byte) (events []Event, skipped int) {
 // DecodeWindow decodes one raw buffer window with full byte accounting.
 // A decoder can only start at a PSB (payload deltas are meaningless
 // without the state reset it carries), and a corrupt byte costs the
-// span up to the next PSB — exactly like real PT.
+// span up to the next PSB — exactly like real PT. The window is the
+// final and only chunk of a StreamDecoder, so the buffered and the
+// streamed decode share one state machine.
 func DecodeWindow(raw []byte) (events []Event, st SpanStats) {
 	// A decoded event costs at least 4 stream bytes (FUP hdr+delta, PTW
 	// hdr+delta), so len/4 preallocates within 2x of the final size and
 	// keeps append from re-growing inside the worker pool.
-	events = make([]Event, 0, len(raw)/4)
-	i := 0
-	for i < len(raw) {
-		// Find a PSB. Whatever precedes it is either framing (pads, a
-		// partial sync pattern) or a payload span we cannot enter.
-		j := findPSB(raw, i)
-		if j < 0 {
-			st.accountGap(raw[i:], true)
-			return events, st
-		}
-		st.accountGap(raw[i:j], false)
-		i = j + psbLen
-		st.SyncBytes += psbLen
-		var ip, val, ts uint64
-		// The encoder emits events strictly as FUP/PTW pairs, so a PTW
-		// with no FUP since the last event is corruption, not an event.
-		fupPending := false
-		// Decode packets until the stream breaks or a new PSB resets us
-		// (handled by the outer loop finding it again).
-	inner:
-		for i < len(raw) {
-			switch raw[i] {
-			case hdrPad:
-				st.SyncBytes++
-				i++
-			case hdrPSB0:
-				// Possible PSB: let the outer loop re-sync (it also
-				// resets decoder state, matching the encoder).
-				if isPSB(raw, i) {
-					break inner
-				}
-				if isPSBPrefix(raw[i:]) {
-					// The window was cut inside the next sync pattern:
-					// framing, not payload.
-					st.SyncBytes += len(raw) - i
-					return events, st
-				}
-				// A lone 0x02 is not a valid header here: corruption.
-				st.LostBytes++
-				st.Resyncs++
-				i++
-				break inner
-			case hdrFUP, hdrPTW, hdrTSC:
-				hdr := raw[i]
-				if hdr == hdrPTW && !fupPending {
-					st.LostBytes++
-					st.Resyncs++
-					i++
-					break inner
-				}
-				d, n := uvarint(raw[i+1:])
-				if n == 0 {
-					// The window ends mid-packet: a truncated tail.
-					st.LostBytes += len(raw) - i
-					return events, st
-				}
-				if n < 0 {
-					// Varint overflow: corrupt payload.
-					st.LostBytes++
-					st.Resyncs++
-					i++
-					break inner
-				}
-				st.PacketBytes += 1 + n
-				i += 1 + n
-				switch hdr {
-				case hdrFUP:
-					ip += uint64(unzig(d))
-					fupPending = true
-				case hdrTSC:
-					ts += d
-				default:
-					val += uint64(unzig(d))
-					// PTW closes an event (FUP precedes it; TSC is sparse).
-					fupPending = false
-					events = append(events, Event{IP: ip, Val: val, TS: ts})
-				}
-			default:
-				// Corrupt byte (e.g. mid-packet overwrite point): resync.
-				st.LostBytes++
-				st.Resyncs++
-				i++
-				break inner
-			}
-		}
-	}
-	return events, st
+	d := StreamDecoder{buf: raw, events: make([]Event, 0, len(raw)/4)}
+	d.process(true)
+	return d.events, d.st
 }
 
 // accountGap classifies the bytes of an undecodable span: pad bytes are

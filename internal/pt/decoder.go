@@ -1,8 +1,6 @@
 package pt
 
 import (
-	"context"
-
 	"github.com/memgaze/memgaze-go/internal/dataflow"
 	"github.com/memgaze/memgaze-go/internal/instrument"
 	"github.com/memgaze/memgaze-go/internal/trace"
@@ -49,31 +47,6 @@ func (ds *DecodeStats) Add(o DecodeStats) {
 	if ds.PacketBytes > 0 {
 		ds.EstLostEvents = ds.SkippedBytes * ds.Events / ds.PacketBytes
 	}
-}
-
-// BuildSampledTrace converts a sampled collector's raw snapshots into a
-// load-level trace using the module's annotations. This is the paper's
-// "Analysis/1" trace-building step (Table II).
-//
-// Deprecated: use NewBuilder(c, ann).Build(ctx), which decodes samples
-// on a worker pool, honours context cancellation, and supports fault
-// policies, stats sinks, and progress callbacks. This wrapper is
-// byte-identical to the builder's default configuration (pinned by
-// wrappers_test.go).
-func BuildSampledTrace(c *Collector, ann *instrument.Annotations) (*trace.Trace, DecodeStats) {
-	// Background context + the default resync policy cannot fail.
-	t, ds, _ := NewBuilder(c, ann).Build(context.Background())
-	return t, ds
-}
-
-// BuildFullTrace converts a full collector's copied events into a trace
-// with a single sample spanning the whole execution.
-//
-// Deprecated: use NewBuilder(c, ann).Build(ctx); the builder detects a
-// full-mode collector and takes this path itself.
-func BuildFullTrace(c *Collector, ann *instrument.Annotations) (*trace.Trace, DecodeStats) {
-	t, ds, _ := NewBuilder(c, ann).Build(context.Background())
-	return t, ds
 }
 
 // eventsToRecords pairs consecutive ptwrite events belonging to the same

@@ -1,6 +1,7 @@
 package pt
 
 import (
+	"context"
 	"testing"
 
 	"github.com/memgaze/memgaze-go/internal/dataflow"
@@ -49,7 +50,10 @@ func TestDecoderReconstruction(t *testing.T) {
 	emit(0x200, 0x5000) // base: addr = 0x5000+16
 	emit(0x300, 0x9000) // gather base
 	emit(0x305, 7)      // gather index: addr = 0x9000+7*8
-	tr, ds := BuildFullTrace(col, notes)
+	tr, ds, err := NewBuilder(col, notes).Build(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ds.OrphanEvents != 0 || ds.PartialPairs != 0 {
 		t.Fatalf("decode stats %+v", ds)
 	}
@@ -76,7 +80,10 @@ func TestDecoderPartialPairAndOrphans(t *testing.T) {
 	col.PTWrite(0x300, 0x9000, 1)
 	col.PTWrite(0x200, 0x5000, 2)
 	col.PTWrite(0xfff, 1, 3) // unknown ptwrite IP
-	tr, ds := BuildFullTrace(col, notes)
+	tr, ds, err := NewBuilder(col, notes).Build(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ds.PartialPairs != 1 {
 		t.Errorf("partial pairs = %d, want 1", ds.PartialPairs)
 	}
@@ -97,7 +104,10 @@ func TestSampledTraceBuildFromHandNotes(t *testing.T) {
 		col.PTWrite(0x200, uint64(0x5000+i*8), ts)
 		col.OnLoad(ts)
 	}
-	tr, ds := BuildSampledTrace(col, notes)
+	tr, ds, err := NewBuilder(col, notes).Build(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tr.NumSamples() < 5 {
 		t.Fatalf("samples = %d", tr.NumSamples())
 	}

@@ -25,10 +25,12 @@ const maxCarry = 1 + binary.MaxVarintLen64 + 1
 
 // StreamDecoder decodes a raw PT packet stream incrementally from an
 // io.Reader in fixed-size chunks, carrying partial-packet state across
-// chunk boundaries. Fed the same bytes, it produces exactly the events
-// and SpanStats of DecodeWindow over the whole buffer, for every chunk
-// size — pinned by TestStreamDecodeEquivalence and FuzzStreamDecode —
-// while peak memory stays O(chunk) instead of O(stream).
+// chunk boundaries. It is the package's only packet parser: DecodeWindow
+// runs the same state machine over a whole buffer as one final chunk.
+// Fed the same bytes, it produces exactly the events and SpanStats of
+// DecodeWindow for every chunk size — pinned by
+// TestStreamDecodeEquivalence and FuzzStreamDecode — while peak memory
+// stays O(chunk) instead of O(stream).
 //
 // The carry-over state machine has two modes. In scanning mode (not
 // synchronised) the decoder looks for a PSB; bytes that cannot begin
@@ -40,7 +42,7 @@ const maxCarry = 1 + binary.MaxVarintLen64 + 1
 // longest undecidable varint), because only end-of-stream turns an
 // incomplete packet into a truncated-tail loss. Decoder payload state
 // (IP/value/timestamp deltas, the FUP-pending flag) persists across
-// chunks and resets at each PSB, exactly as in DecodeWindow.
+// chunks and resets at each PSB.
 type StreamDecoder struct {
 	r         io.Reader
 	chunkSize int
@@ -113,7 +115,9 @@ func (d *StreamDecoder) Stats() SpanStats { return d.st }
 // events and accounting consumed bytes; the undecidable tail (at most
 // maxCarry bytes unless final) is carried for the next chunk. final
 // applies end-of-window semantics: a trailing PSB prefix is framing, an
-// incomplete packet is a truncated-tail loss.
+// incomplete packet is a truncated-tail loss. A final call consumes every
+// byte and so never writes to d.buf, which lets DecodeWindow hand it the
+// caller's window without a copy.
 func (d *StreamDecoder) process(final bool) {
 	b := d.buf
 	i := 0

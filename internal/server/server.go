@@ -382,15 +382,17 @@ type TraceInfo struct {
 }
 
 func traceInfo(id string, tr *trace.Trace, size int64) TraceInfo {
+	records, implied := tr.Counts()
+	rho, kappa := tr.RhoKappa(records, implied)
 	return TraceInfo{
 		ID:      id,
 		Module:  tr.Module,
 		Mode:    tr.Mode,
 		Samples: tr.NumSamples(),
-		Records: tr.NumRecords(),
+		Records: records,
 		Bytes:   size,
-		Rho:     tr.Rho(),
-		Kappa:   tr.Kappa(),
+		Rho:     rho,
+		Kappa:   kappa,
 	}
 }
 
@@ -424,13 +426,15 @@ func (s *Server) storeTrace(id string, tr *trace.Trace, size int64, at time.Time
 		uploaded = time.Now().UTC()
 	}
 	if s.disk != nil {
+		records, implied := tr.Counts()
+		rho, kappa := tr.RhoKappa(records, implied)
 		m := storage.Meta{
 			Module:   tr.Module,
 			Mode:     tr.Mode,
 			Samples:  tr.NumSamples(),
-			Records:  tr.NumRecords(),
-			Rho:      tr.Rho(),
-			Kappa:    tr.Kappa(),
+			Records:  records,
+			Rho:      rho,
+			Kappa:    kappa,
 			Uploaded: uploaded,
 		}
 		added, err = s.disk.Put(id, m, size, tr)
@@ -533,7 +537,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	ctype, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
 	switch strings.TrimSpace(ctype) {
 	case ContentTypePT:
-		tr, ds, err = s.buildCapture(r, body)
+		var policy pt.FaultPolicy
+		if policy, err = faultPolicy(r); err == nil {
+			tr, ds, err = s.buildPT(r, bytes.NewReader(body), policy)
+		}
 		if err != nil {
 			var ce *pt.CorruptionError
 			switch {
@@ -601,22 +608,16 @@ func faultPolicy(r *http.Request) (pt.FaultPolicy, error) {
 	}
 }
 
-// buildCapture decodes a raw PT capture upload through the Builder
-// pipeline. The fault policy comes from the ?fault query parameter
-// (resync, the default, or fail).
-func (s *Server) buildCapture(r *http.Request, body []byte) (*trace.Trace, *pt.DecodeStats, error) {
-	cp, err := pt.ReadCapture(bytes.NewReader(body))
-	if err != nil {
-		return nil, nil, err
-	}
-	policy, err := faultPolicy(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr, ds, err := cp.NewBuilder(
+// buildPT builds a PT capture upload's trace. Both upload handlers call
+// it, so buffered and streamed PT uploads build identically: samples are
+// decoded on the build workers as they come off body, through the
+// build's recycled sample buffers.
+func (s *Server) buildPT(r *http.Request, body io.Reader, policy pt.FaultPolicy) (*trace.Trace, *pt.DecodeStats, error) {
+	tr, ds, err := pt.BuildCaptureStream(r.Context(), body,
 		pt.WithWorkers(s.cfg.BuildWorkers),
+		pt.WithChunkBytes(s.cfg.StreamChunkBytes),
 		pt.WithFaultPolicy(policy),
-	).Build(r.Context())
+	)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -640,9 +641,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // handleStream is PUT /v1/traces:stream: the bounded-memory upload
 // path. The body — chunked transfer or unknown Content-Length included
 // — is consumed incrementally: a PT capture decodes through
-// pt.BuildCaptureStream with samples pipelined onto the build workers
-// and headline diagnostics folded on the fly by engine.StreamAccum; an
-// MGTR trace decodes through trace.Read directly off the wire. The
+// pt.BuildCaptureStream with samples pipelined onto the build workers;
+// an MGTR trace decodes through trace.Read directly off the wire. The
 // byte quota is enforced mid-stream by http.MaxBytesReader (413 on
 // breach, nothing buffered), client disconnects surface between chunks
 // as context cancellation (503), and the stored id comes from the
@@ -656,10 +656,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.metrics.streamBytes.Observe(float64(body.n)) }()
 
 	var (
-		tr    *trace.Trace
-		ds    *pt.DecodeStats
-		accum *engine.StreamAccum
-		err   error
+		tr  *trace.Trace
+		ds  *pt.DecodeStats
+		err error
 	)
 	ctype, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
 	switch strings.TrimSpace(ctype) {
@@ -670,15 +669,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, "%v", err)
 			return
 		}
-		accum = engine.NewStreamAccum(0)
-		var dsv pt.DecodeStats
-		tr, dsv, err = pt.BuildCaptureStream(r.Context(), body,
-			pt.WithWorkers(s.cfg.BuildWorkers),
-			pt.WithChunkBytes(s.cfg.StreamChunkBytes),
-			pt.WithFaultPolicy(policy),
-			pt.WithSampleSink(accum.AddSample),
-		)
-		ds = &dsv
+		tr, ds, err = s.buildPT(r, body, policy)
 	case ContentTypeTrace, "application/octet-stream", "":
 		tr, err = trace.Read(body)
 	default:
@@ -724,24 +715,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.replicateUpload(r, tr, uploaded, plan.remotes)
-
-	var info TraceInfo
-	if accum != nil {
-		// The PT path already folded the headline numbers window by
-		// window; no second walk over the built trace.
-		info = TraceInfo{
-			ID:      id,
-			Module:  tr.Module,
-			Mode:    tr.Mode,
-			Samples: accum.Samples(),
-			Records: accum.Records(),
-			Bytes:   size,
-			Rho:     accum.Rho(tr.TotalLoads, tr.Period),
-			Kappa:   accum.Kappa(),
-		}
-	} else {
-		info = traceInfo(id, tr, size)
-	}
+	info := traceInfo(id, tr, size)
 	info.Tier = tierHot
 	info.Uploaded = uploaded
 	info.Existed = !added

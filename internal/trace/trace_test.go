@@ -178,6 +178,12 @@ func TestKappaAndRho(t *testing.T) {
 	if r := tr.Rho(); r != 100_000.0/150.0 {
 		t.Errorf("rho = %v", r)
 	}
+	// No hardware load counter: executed loads fall back to |σ|·period.
+	tr.TotalLoads = 0
+	tr.SetSamples(smp, smp)
+	if r := tr.Rho(); r != 2*1000.0/300.0 {
+		t.Errorf("fallback rho = %v, want %v", r, 2*1000.0/300.0)
+	}
 	// Empty trace: identities.
 	empty := &Trace{}
 	if empty.Kappa() != 1 || empty.Rho() != 1 {
